@@ -88,21 +88,19 @@ exp::ExperimentConfig BenchExperimentConfig() {
     cfg.stable_tolerance_pp = 1.0;
   }
   cfg.obs = g_bench_obs;
-  // Intra-run engine knobs shared by every driver: ROFS_SIM_THREADS=N
-  // shards the event loop per drive (output byte-identical for any
-  // N >= 1, and identical to the classic engine on FCFS configs — see
-  // DESIGN.md §11), ROFS_SIM_WHEEL=1 keeps idle users in the timer
-  // wheel. Environment-driven so the 12 figure drivers pick them up
-  // without per-driver flag plumbing.
-  if (const char* threads = std::getenv("ROFS_SIM_THREADS");
-      threads != nullptr && threads[0] != '\0') {
-    cfg.engine.threads = std::atoi(threads);
-  }
-  if (const char* wheel = std::getenv("ROFS_SIM_WHEEL");
-      wheel != nullptr && wheel[0] != '\0') {
-    cfg.engine.timer_wheel = wheel[0] != '0';
-  }
   return cfg;
+}
+
+void RejectRemovedEngineEnv() {
+  for (const char* name : {"ROFS_SIM_THREADS", "ROFS_SIM_WHEEL"}) {
+    if (std::getenv(name) == nullptr) continue;
+    DieOnError(Status::InvalidArgument(
+                   std::string(name) +
+                   " was removed with the sharded engine and the timer "
+                   "wheel; every run uses the single event heap, so unset "
+                   "it"),
+               "environment");
+  }
 }
 
 void DieOnError(const Status& status, const std::string& context) {
@@ -240,6 +238,7 @@ std::string CellStats::Fixed(const std::string& metric, int decimals,
 
 Sweep::Sweep(int argc, char** argv)
     : options_(ParseBenchOptions(argc, argv)) {
+  RejectRemovedEngineEnv();
   options_.sweep.jobs = runner::SweepRunner::ResolveJobs(options_.sweep.jobs);
   options_.replicates =
       runner::SweepRunner::ResolveReplicates(options_.replicates);

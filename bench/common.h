@@ -56,6 +56,12 @@ exp::ExperimentConfig BenchExperimentConfig();
 /// visible crash over silently missing table rows.
 void DieOnError(const Status& status, const std::string& context);
 
+/// Dies through DieOnError when ROFS_SIM_THREADS or ROFS_SIM_WHEEL is
+/// set: both selected the removed sharded engine and timer wheel, and a
+/// run that silently ignored them would look like one that honored them.
+/// Every Sweep calls it; drivers without a Sweep call it first thing.
+void RejectRemovedEngineEnv();
+
 /// Parses the sweep-parallelism knobs shared by every bench driver:
 /// `--jobs N` / `--jobs=N` / `-j N` on the command line, else the
 /// ROFS_JOBS environment variable, else the hardware thread count

@@ -1,38 +1,21 @@
-// Figure 9 (extension, ROADMAP item 1): intra-run event-loop scaling
-// and million-user state capacity. The paper's simulator is strictly
-// serial; DESIGN.md §11 shards disk-internal events per drive behind a
-// conservative time-window engine whose output is byte-identical for
-// every worker count. This driver measures what that buys:
+// Figure 9 (extension): million-user state capacity. The paper's
+// simulator keeps every pending event in one time-ordered heap (section
+// 2.2), and so does this one: each closed-loop user is a single heap
+// event that reschedules itself. This driver shows that a million
+// mostly-idle users fit in that heap: a 10^6-user closed-loop
+// application test on 16 drives under C-SCAN. Deterministic simulation
+// results go to stdout; wall-clock seconds and peak RSS (VmHWM) go to
+// stderr, where they can never perturb a golden.
 //
-//   * Scaling grid: the sequential test (whole-file transfers striped
-//     across every drive — the workload with the most concurrent
-//     per-disk work) over disks x sim-threads, with C-SCAN scheduling
-//     so the drives run in dispatch mode. Deterministic simulation
-//     results go to stdout and are REQUIRED to be byte-identical
-//     across all thread counts >= 1 (the driver exits non-zero on
-//     divergence); wall-clock seconds and speedups go to stderr, where
-//     they can never perturb a golden. threads=0 (the classic
-//     single-queue engine) is timed for reference but excluded from
-//     the identity check: under a reordering scheduler the classic
-//     engine's mirror-target staleness differs (DESIGN.md §11.4).
-//
-//   * Capacity cell: a 10^6-user closed-loop workload with the SoA
-//     user table and the hierarchical timer wheel (ISSUE 8). The cell
-//     demonstrates that a million mostly-idle users fit in RAM; peak
-//     RSS (VmHWM) is reported on stderr.
-//
-// ROFS_FIG9_SMOKE=1 shrinks the grid (4 disks, threads {1,2}, 10^4
-// users) for CI: the smoke stdout is pinned with a golden.
+// ROFS_FIG9_SMOKE=1 shrinks the cell to 10^4 users for CI: the smoke
+// stdout is pinned with a golden.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
-#include <vector>
 
 #include "bench/common.h"
-#include "exp/reporting.h"
 #include "sched/scheduler.h"
 #include "workload/workloads.h"
 
@@ -63,36 +46,10 @@ long PeakRssKb() {
   return kb;
 }
 
-/// Sequential-heavy workload scaled to `disks` drives: 3 x 64M files
-/// per drive (~56% initial utilization, inside the fill band below, so
-/// no aging churn is needed) and 2 whole-file streams per drive to keep
-/// every queue deep.
-workload::WorkloadSpec ScalingWorkload(uint32_t disks) {
-  workload::FileTypeSpec type;
-  type.name = "seqheavy";
-  type.num_files = 3 * disks;
-  type.num_users = 2 * disks;
-  type.process_time_ms = 10.0;
-  type.hit_frequency_ms = 100.0;
-  type.rw_bytes_mean = 512 * kKiB;
-  type.alloc_size_bytes = 1 * kMiB;
-  type.initial_bytes_mean = 64 * kMiB;
-  type.truncate_bytes = 1 * kMiB;
-  type.read_ratio = 0.5;
-  type.write_ratio = 0.5;
-  type.extend_ratio = 0.0;
-  type.access = workload::AccessPattern::kSequentialBurst;
-
-  workload::WorkloadSpec spec;
-  spec.name = "seqheavy";
-  spec.types.push_back(type);
-  return spec;
-}
-
 /// The million-user cell: `users` closed-loop streams over 1024 2M
 /// files on 16 drives. Think times are huge (1000 s) and start times
 /// spread over users * 0.4 ms, so almost the whole population is idle
-/// at any instant — exactly the state the timer wheel keeps compact.
+/// at any instant: one pending heap event per user.
 workload::WorkloadSpec CapacityWorkload(uint32_t users) {
   workload::FileTypeSpec type;
   type.name = "capacity";
@@ -115,158 +72,56 @@ workload::WorkloadSpec CapacityWorkload(uint32_t users) {
   return spec;
 }
 
-/// Experiment settings shared by the grid: the workloads above start
-/// inside the fill band, so measurement begins immediately; windows are
-/// sized for measurable wall clock per cell, not paper fidelity (the
-/// full grid simulates 10 minutes per cell; smoke keeps CI fast).
-exp::ExperimentConfig Fig9Config(int threads, bool smoke) {
+/// Experiment settings: the workload starts inside the fill band, so
+/// measurement begins immediately; windows are sized for measurable wall
+/// clock, not paper fidelity.
+exp::ExperimentConfig CapacityConfig() {
   exp::ExperimentConfig cfg;
-  cfg.fill_lower = 0.25;
+  cfg.fill_lower = 0.3;
   cfg.fill_upper = 0.95;
   cfg.warmup_ms = 10'000;
   cfg.sample_interval_ms = 10'000;
   cfg.stable_tolerance_pp = 1.0;
-  cfg.seq_min_measure_ms = smoke ? 60'000 : 600'000;
-  cfg.seq_max_measure_ms = smoke ? 120'000 : 600'000;
   cfg.min_measure_ms = 20'000;
   cfg.max_measure_ms = 40'000;
-  cfg.engine.threads = threads;
   return cfg;
 }
 
-struct CellResult {
-  std::string json;  // Deterministic record — the identity-check key.
-  exp::PerfResult perf;
-  double wall_s = 0;
-};
+}  // namespace
 
-CellResult RunScalingCell(uint32_t disks, int threads, bool smoke) {
-  disk::DiskSystemConfig disk_config = disk::DiskSystemConfig::Array(disks);
-  auto spec = sched::ParseSchedulerSpec("cscan");
-  bench::DieOnError(spec.status(), "fig9 scheduler");
-  disk_config.scheduler = *spec;
+int main() {
+  bench::RejectRemovedEngineEnv();
+  const bool smoke = std::getenv("ROFS_FIG9_SMOKE") != nullptr;
+  const uint32_t kUsers = smoke ? 10'000 : 1'000'000;
 
-  exp::Experiment experiment(
-      ScalingWorkload(disks),
-      bench::ExtentFactory(workload::WorkloadKind::kSuperComputer, 3,
-                           alloc::FitPolicy::kFirstFit),
-      disk_config, Fig9Config(threads, smoke));
+  std::printf(
+      "Figure 9: Million-User Capacity (extension)\n"
+      "  application test, C-SCAN scheduling, 16 striped drives; each user\n"
+      "  is one event-heap entry (wall-clock timings go to stderr).\n\n");
 
-  const double t0 = NowSeconds();
-  auto perf = experiment.RunSequentialTest();
-  const double t1 = NowSeconds();
-  bench::DieOnError(perf.status(), "fig9 sequential test");
-
-  CellResult out;
-  out.perf = *perf;
-  out.wall_s = t1 - t0;
-  exp::RunRecord record = perf->ToRecord();
-  record.experiment = "fig9_scaling";
-  out.json = record.ToJson();
-  return out;
-}
-
-CellResult RunCapacityCell(uint32_t users, int threads, bool smoke) {
   disk::DiskSystemConfig disk_config = disk::DiskSystemConfig::Array(16);
   auto spec = sched::ParseSchedulerSpec("cscan");
   bench::DieOnError(spec.status(), "fig9 scheduler");
   disk_config.scheduler = *spec;
 
-  exp::ExperimentConfig cfg = Fig9Config(threads, smoke);
-  cfg.fill_lower = 0.3;
-  cfg.engine.timer_wheel = true;
-
   exp::Experiment experiment(
-      CapacityWorkload(users),
+      CapacityWorkload(kUsers),
       bench::FixedBlockFactory(workload::WorkloadKind::kTransactionProcessing),
-      disk_config, cfg);
+      disk_config, CapacityConfig());
 
   const double t0 = NowSeconds();
   auto perf = experiment.RunApplicationTest();
   const double t1 = NowSeconds();
   bench::DieOnError(perf.status(), "fig9 capacity test");
 
-  CellResult out;
-  out.perf = *perf;
-  out.wall_s = t1 - t0;
-  return out;
-}
-
-}  // namespace
-
-int main() {
-  const bool smoke = std::getenv("ROFS_FIG9_SMOKE") != nullptr;
-  const std::vector<uint32_t> kDisks =
-      smoke ? std::vector<uint32_t>{4} : std::vector<uint32_t>{4, 16, 64};
-  // threads=0 is the classic engine reference lap (stderr only).
-  const std::vector<int> kThreads =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{0, 1, 2, 4, 8};
-  const uint32_t kUsers = smoke ? 10'000 : 1'000'000;
-
   std::printf(
-      "Figure 9: Intra-Run Event-Loop Scaling (extension)\n"
-      "  sequential test, C-SCAN scheduling, striped array; simulation\n"
-      "  results below are byte-identical for every sim-thread count\n"
-      "  (wall-clock timings go to stderr).\n\n");
-
-  bool diverged = false;
-  for (const uint32_t disks : kDisks) {
-    std::string baseline_json;
-    double baseline_wall = 0;
-    exp::PerfResult perf;
-    for (const int threads : kThreads) {
-      const CellResult cell = RunScalingCell(disks, threads, smoke);
-      if (threads >= 1) {
-        if (baseline_json.empty()) {
-          baseline_json = cell.json;
-          baseline_wall = cell.wall_s;
-          perf = cell.perf;
-        } else if (cell.json != baseline_json) {
-          std::printf("disks=%u threads=%d DIVERGED from threads=1\n", disks,
-                      threads);
-          diverged = true;
-        }
-      }
-      if (threads == 0) {
-        std::fprintf(stderr, "[fig9] disks=%-2u classic      wall=%6.2fs\n",
-                     disks, cell.wall_s);
-      } else {
-        std::fprintf(stderr,
-                     "[fig9] disks=%-2u threads=%d   wall=%6.2fs  "
-                     "speedup=%.2fx\n",
-                     disks, threads, cell.wall_s,
-                     baseline_wall / (cell.wall_s > 0 ? cell.wall_s : 1e-9));
-      }
-    }
-    std::printf(
-        "disks=%-2u  throughput=%5.1f%%  ops=%llu  bytes_moved=%llu\n"
-        "          users_peak=%llu  events_peak=%llu\n",
-        disks, 100.0 * perf.utilization_of_max,
-        static_cast<unsigned long long>(perf.ops_executed),
-        static_cast<unsigned long long>(perf.bytes_moved),
-        static_cast<unsigned long long>(perf.users_peak),
-        static_cast<unsigned long long>(perf.events_peak));
-  }
-  std::printf("byte-identical across sim threads: %s\n\n",
-              diverged ? "NO (see above)" : "yes");
-
-  const int cap_threads = smoke ? 2 : 8;
-  const double t0 = NowSeconds();
-  const CellResult cap = RunCapacityCell(kUsers, cap_threads, smoke);
-  const double t1 = NowSeconds();
-  std::printf(
-      "capacity: users=%u timer=wheel disks=16\n"
-      "          users_peak=%llu  wheel_peak=%llu  events_peak=%llu  "
-      "ops=%llu\n",
-      kUsers, static_cast<unsigned long long>(cap.perf.users_peak),
-      static_cast<unsigned long long>(cap.perf.wheel_peak),
-      static_cast<unsigned long long>(cap.perf.events_peak),
-      static_cast<unsigned long long>(cap.perf.ops_executed));
+      "capacity: users=%u timer=heap disks=16\n"
+      "          users_peak=%llu  events_peak=%llu  ops=%llu\n",
+      kUsers, static_cast<unsigned long long>(perf->users_peak),
+      static_cast<unsigned long long>(perf->events_peak),
+      static_cast<unsigned long long>(perf->ops_executed));
   const long rss_kb = PeakRssKb();
-  std::fprintf(stderr,
-               "[fig9] capacity users=%u wall=%.2fs (%.2fs in test) "
-               "VmHWM=%ld MiB\n",
-               kUsers, t1 - t0, cap.wall_s, rss_kb > 0 ? rss_kb / 1024 : -1);
-
-  return diverged ? 1 : 0;
+  std::fprintf(stderr, "[fig9] capacity users=%u wall=%.2fs VmHWM=%ld MiB\n",
+               kUsers, t1 - t0, rss_kb > 0 ? rss_kb / 1024 : -1);
+  return 0;
 }

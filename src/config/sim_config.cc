@@ -405,35 +405,6 @@ Status BuildAging(const Section* section, uint64_t test_seed,
   return aging->Validate();
 }
 
-Status BuildSimEngine(const Section* section, exp::SimEngineOptions* eng) {
-  if (section == nullptr) return Status::OK();
-  ROFS_ASSIGN_OR_RETURN(
-      const int64_t threads,
-      section->GetIntOr("threads", static_cast<int64_t>(eng->threads)));
-  if (threads < 0 || threads > 1024) {
-    return Status::InvalidArgument("[sim] threads out of range");
-  }
-  eng->threads = static_cast<int>(threads);
-  ROFS_ASSIGN_OR_RETURN(
-      const std::string timer,
-      section->GetStringOr("user_timer", eng->timer_wheel ? "wheel" : "heap"));
-  if (timer == "heap") {
-    eng->timer_wheel = false;
-  } else if (timer == "wheel") {
-    eng->timer_wheel = true;
-  } else {
-    return Status::InvalidArgument("[sim] unknown user_timer '" + timer +
-                                   "' (heap|wheel)");
-  }
-  ROFS_ASSIGN_OR_RETURN(
-      eng->wheel_tick_ms,
-      section->GetDurationMsOr("wheel_tick", eng->wheel_tick_ms));
-  if (!(eng->wheel_tick_ms > 0.0)) {
-    return Status::InvalidArgument("[sim] wheel_tick must be positive");
-  }
-  return Status::OK();
-}
-
 Status BuildObs(const Section* section, obs::Options* obs) {
   if (section == nullptr) return Status::OK();
   ROFS_ASSIGN_OR_RETURN(obs->window_ms,
@@ -461,8 +432,14 @@ StatusOr<SimConfig> BuildSimConfig(const ConfigFile& file) {
   ROFS_RETURN_IF_ERROR(BuildFs(file.Find("fs"), &sim.experiment.fs_options));
   ROFS_RETURN_IF_ERROR(
       BuildCache(file.Find("cache"), &sim.experiment.fs_options));
-  ROFS_RETURN_IF_ERROR(
-      BuildSimEngine(file.Find("sim"), &sim.experiment.engine));
+  if (file.Find("sim") != nullptr) {
+    // The sharded engine and the timer wheel are gone; fail loudly rather
+    // than run a config that asked for them as if it had not.
+    return Status::InvalidArgument(
+        "[sim] section is no longer supported: its keys threads, "
+        "user_timer and wheel_tick were removed with the sharded engine "
+        "and the timer wheel; every run uses the single event heap");
+  }
   ROFS_RETURN_IF_ERROR(BuildObs(file.Find("obs"), &sim.experiment.obs));
   return sim;
 }

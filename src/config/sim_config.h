@@ -49,9 +49,8 @@ struct SimConfig {
 ///               seed, sample_interval,
 ///               tolerance_pp, warmup, min_measure, max_measure,
 ///               fill_lower, fill_upper
-///   [sim]       threads = 0..N (0 = classic serial engine; >= 1 shards
-///               disk events per drive, byte-identical output for every
-///               value >= 1); user_timer = heap|wheel; wheel_tick
+///   [sim]       rejected: its keys (threads, user_timer, wheel_tick)
+///               were removed with the sharded engine and the timer wheel
 ///   [workload]  builtin = TS | TP | SC   (optional shortcut);
 ///               arrivals = closed | poisson(RATE) |
 ///               mmpp(RATE[,BURST,ON,OFF]) | pareto(RATE[,ALPHA])

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sim/sharded_engine.h"
 #include "util/table.h"
 
 namespace rofs::disk {
@@ -44,17 +43,6 @@ void DiskSystem::BindQueue(sim::EventQueue* queue) {
   assert(queue_ == nullptr && "BindQueue must be called once");
   queue_ = queue;
   for (Disk& d : disks_) d.BindQueue(queue, config_.scheduler);
-}
-
-void DiskSystem::BindSharded(sim::ShardedEngine* engine) {
-  assert(engine != nullptr);
-  assert(queue_ == nullptr && "bind once, BindQueue xor BindSharded");
-  engine_ = engine;
-  queue_ = engine->central();
-  for (uint32_t i = 0; i < disks_.size(); ++i) {
-    disks_[i].BindQueue(engine->shard_queue(i % engine->num_shards()),
-                        config_.scheduler);
-  }
 }
 
 uint32_t DiskSystem::PickMirrorTarget(const DiskAccess& a) const {
@@ -164,28 +152,11 @@ void DiskSystem::SubmitGroup(uint32_t group, sim::TimeMs arrival,
     if (a.alt_disk >= 0 && !a.is_write) {
       target = PickMirrorTarget(a);
     }
-    if (engine_ != nullptr) {
-      // The completion fires in the drive's shard; the group bookkeeping
-      // (and the FS continuation it may trigger) touches shared state, so
-      // it crosses back to the central domain as a buffered effect. The
-      // effect capture is exactly the event callback's inline budget
-      // (this + group + the 4-double phase breakdown = 48 bytes), so
-      // `done` is recovered from the central clock: effects commit at
-      // their emission time, never clamped (DESIGN.md §11).
-      disks_[target].Submit(
-          arrival, a.offset_du * du, a.length_du * du,
-          [this, group](sim::TimeMs done, const obs::AccessPhases& p) {
-            engine_->EmitEffect(done, [this, group, p] {
-              OnGroupAccessDone(group, queue_->now(), p);
-            });
-          });
-    } else {
-      disks_[target].Submit(
-          arrival, a.offset_du * du, a.length_du * du,
-          [this, group](sim::TimeMs done, const obs::AccessPhases& p) {
-            OnGroupAccessDone(group, done, p);
-          });
-    }
+    disks_[target].Submit(
+        arrival, a.offset_du * du, a.length_du * du,
+        [this, group](sim::TimeMs done, const obs::AccessPhases& p) {
+          OnGroupAccessDone(group, done, p);
+        });
   }
 }
 

@@ -15,10 +15,6 @@
 #include "util/inline_function.h"
 #include "util/units.h"
 
-namespace rofs::sim {
-class ShardedEngine;
-}
-
 namespace rofs::disk {
 
 /// Configuration of the disk subsystem (paper section 2.1 and Table 1).
@@ -83,13 +79,6 @@ class DiskSystem {
   /// scheduling policy. Call once, before any traffic.
   void BindQueue(sim::EventQueue* queue);
 
-  /// Dispatch-driven mode over a sharded engine: drive `i` runs on shard
-  /// queue `i % num_shards`, so shards advance disk-internal events in
-  /// parallel; group completions cross back into the central domain as
-  /// buffered effects the engine commits in deterministic (time, shard,
-  /// emission) order. Mutually exclusive with BindQueue; call once.
-  void BindSharded(sim::ShardedEngine* engine);
-
   bool dispatch_mode() const { return queue_ != nullptr; }
   /// True when completion times are computable at submit (passive mode or
   /// the FCFS policy).
@@ -151,16 +140,10 @@ class DiskSystem {
     }
   }
 
-  /// Per-drive tracer override (sharded runs give each shard its own
-  /// lane so drives record without cross-thread contention).
-  void set_disk_tracer(uint32_t i, obs::SimTracer* tracer) {
-    disks_[i].set_tracer(tracer, i);
-  }
-
   /// Attaches per-op latency attribution (null detaches). Synchronous
   /// submissions charge each access to the attribution's current target;
-  /// groups capture the target at OpenGroup and charge deferred
-  /// completions to it on the central thread.
+  /// groups capture the target at OpenGroup and charge each deferred
+  /// completion to it.
   void set_attribution(obs::OpAttribution* attr) { attr_ = attr; }
 
   void ResetStats();
@@ -197,7 +180,6 @@ class DiskSystem {
   std::unique_ptr<Layout> layout_;
   std::vector<Disk> disks_;
   sim::EventQueue* queue_ = nullptr;
-  sim::ShardedEngine* engine_ = nullptr;
   std::vector<Group> groups_;
   uint32_t free_group_ = kNoGroup;
   uint64_t logical_bytes_read_ = 0;

@@ -1,23 +1,19 @@
 #include "exp/experiment.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "exp/throughput_tracker.h"
 #include "obs/trace_writer.h"
-#include "runner/thread_pool.h"
 #include "stats/steady.h"
 
 namespace rofs::exp {
 
 /// Samples cumulative component counters every `window_ms` of simulated
-/// time through a self-rescheduling central event and appends the
-/// per-window deltas to a WindowSeries. Every sampled value is simulation
-/// state read on the central thread at a deterministic event time, so the
-/// series is byte-identical across --jobs and --sim-threads counts.
+/// time through a self-rescheduling event and appends the per-window
+/// deltas to a WindowSeries. Every sampled value is simulation state read
+/// at a deterministic event time, so the series is byte-identical across
+/// --jobs counts.
 /// The epoch invalidates ticks left in the heap by an earlier
 /// measurement (a performance pair measures twice on one queue).
 struct WindowRecorder {
@@ -107,30 +103,6 @@ Experiment::Sim::~Sim() = default;
 
 namespace {
 
-/// Oversubscription guard: `--jobs N` already runs N simulations in
-/// parallel, so each run's shard gang is capped at hardware_concurrency
-/// / jobs. Purely an execution decision — the simulation output is
-/// byte-identical for any worker count — so the cap never perturbs
-/// results, only keeps N x M runnable threads off a smaller machine.
-int EffectiveEngineThreads(int requested) {
-  if (requested <= 1) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) return requested;
-  const int jobs = runner::ActiveJobs();
-  int cap = static_cast<int>(hw) / (jobs < 1 ? 1 : jobs);
-  if (cap < 1) cap = 1;
-  if (requested <= cap) return requested;
-  static std::once_flag warned;
-  std::call_once(warned, [&] {
-    std::fprintf(stderr,
-                 "[sim] warning: threads = %d with %d runner jobs would "
-                 "oversubscribe %u hardware threads; capping each run's "
-                 "workers at %d\n",
-                 requested, jobs, hw, cap);
-  });
-  return cap;
-}
-
 /// Shared metric names for the counters every allocation policy exposes.
 void AllocatorStatsToRecord(const alloc::AllocatorStats& s, RunRecord* r) {
   r->Set("allocator.calls", static_cast<double>(s.alloc_calls));
@@ -218,12 +190,6 @@ Status ExperimentConfig::Validate() const {
     const Status policy = fs_options.cache_policy.Validate();
     if (!policy.ok()) return policy;
   }
-  if (engine.threads < 0) {
-    return Status::InvalidArgument("sim threads must be >= 0");
-  }
-  if (!(engine.wheel_tick_ms > 0.0)) {
-    return Status::InvalidArgument("sim wheel_tick must be positive");
-  }
   return Status::OK();
 }
 
@@ -238,7 +204,6 @@ RunRecord AllocationResult::ToRecord() const {
   r.Set("simulated_ms", simulated_ms);
   r.Set("sim.users.peak", static_cast<double>(users_peak));
   r.Set("sim.events.peak", static_cast<double>(events_peak));
-  r.Set("sim.wheel.peak", static_cast<double>(wheel_peak));
   AllocatorStatsToRecord(alloc_stats, &r);
   for (const auto& [name, value] : obs_metrics) r.Set("obs." + name, value);
   return r;
@@ -256,7 +221,6 @@ AllocationResult AllocationResult::FromRecord(const RunRecord& record) {
   a.simulated_ms = record.Get("simulated_ms");
   a.users_peak = static_cast<uint64_t>(record.Get("sim.users.peak"));
   a.events_peak = static_cast<uint64_t>(record.Get("sim.events.peak"));
-  a.wheel_peak = static_cast<uint64_t>(record.Get("sim.wheel.peak"));
   a.alloc_stats = AllocatorStatsFromRecord(record);
   return a;
 }
@@ -280,7 +244,6 @@ RunRecord PerfResult::ToRecord() const {
   }
   r.Set("sim.users.peak", static_cast<double>(users_peak));
   r.Set("sim.events.peak", static_cast<double>(events_peak));
-  r.Set("sim.wheel.peak", static_cast<double>(wheel_peak));
   AllocatorStatsToRecord(alloc_stats, &r);
   for (const auto& [name, value] : obs_metrics) r.Set("obs." + name, value);
   r.series = series;
@@ -306,7 +269,6 @@ PerfResult PerfResult::FromRecord(const RunRecord& record) {
   p.pending_peak = static_cast<uint64_t>(record.Get("open.pending_peak"));
   p.users_peak = static_cast<uint64_t>(record.Get("sim.users.peak"));
   p.events_peak = static_cast<uint64_t>(record.Get("sim.events.peak"));
-  p.wheel_peak = static_cast<uint64_t>(record.Get("sim.wheel.peak"));
   p.alloc_stats = AllocatorStatsFromRecord(record);
   return p;
 }
@@ -331,19 +293,9 @@ StatusOr<std::unique_ptr<Experiment::Sim>> Experiment::Setup(
   }
   auto sim = std::make_unique<Sim>();
   sim->disk = std::make_unique<disk::DiskSystem>(disk_config_);
-  if (config_.engine.threads >= 1) {
-    // Sharded engine: one shard (local event queue) per drive, workers
-    // capped by the oversubscription guard. The cap changes only which
-    // thread runs a shard window, never the simulation's output.
-    sim->engine = std::make_unique<sim::ShardedEngine>(
-        &sim->queue, static_cast<uint32_t>(disk_config_.disks.size()),
-        EffectiveEngineThreads(config_.engine.threads));
-    sim->disk->BindSharded(sim->engine.get());
-  } else {
-    // Dispatch-driven disks: every request flows through the configured
-    // per-disk scheduler and completes via an event-queue callback.
-    sim->disk->BindQueue(&sim->queue);
-  }
+  // Dispatch-driven disks: every request flows through the configured
+  // per-disk scheduler and completes via an event-queue callback.
+  sim->disk->BindQueue(&sim->queue);
   sim->allocator = factory_(sim->disk->capacity_du());
   sim->fs = std::make_unique<fs::ReadOptimizedFs>(
       sim->allocator.get(), sim->disk.get(), config_.fs_options);
@@ -359,8 +311,6 @@ StatusOr<std::unique_ptr<Experiment::Sim>> Experiment::Setup(
   // Reordering schedulers cannot report completion times at issue; the
   // generator must account for operations in completion callbacks.
   options.async = !sim->disk->predictable();
-  options.timer_wheel = config_.engine.timer_wheel;
-  options.wheel_tick_ms = config_.engine.wheel_tick_ms;
   sim->gen = std::make_unique<workload::OpGenerator>(
       &workload_, sim->fs.get(), &sim->queue, options);
   if (instrument_) instrument_(sim->gen.get());
@@ -370,25 +320,12 @@ StatusOr<std::unique_ptr<Experiment::Sim>> Experiment::Setup(
         std::make_unique<obs::Session>(config_.obs, sim->queue.now_ptr());
     obs::SimTracer* tracer = sim->obs->tracer();
     sim->queue.set_tracer(tracer);
-    if (sim->engine != nullptr) {
-      // Sharded runs record disk events through per-shard lanes —
-      // isolated registries/buffers behind that shard's clock — so
-      // worker threads never touch shared recording state. Snapshots
-      // merge the lanes by name, which is order-independent.
-      for (uint32_t i = 0; i < sim->disk->num_disks(); ++i) {
-        sim::EventQueue* shard =
-            sim->engine->shard_queue(i % sim->engine->num_shards());
-        sim->disk->set_disk_tracer(i, sim->obs->AddLane(shard->now_ptr()));
-      }
-    } else {
-      sim->disk->set_tracer(tracer);
-    }
+    sim->disk->set_tracer(tracer);
     sim->allocator->set_tracer(tracer);
     sim->fs->set_tracer(tracer);
     // Per-op latency attribution: the generator opens/folds the ledgers;
     // the fs retargets around metadata, flush, and readahead I/O; the
-    // disk system charges each access. All of it runs on the central
-    // thread (sync issue stacks and effect-commit completions).
+    // disk system charges each access.
     obs::OpAttribution* attr = sim->obs->attribution();
     sim->disk->set_attribution(attr);
     sim->fs->set_attribution(attr);
@@ -423,7 +360,7 @@ StatusOr<std::unique_ptr<Experiment::Sim>> Experiment::Setup(
     double best_util = -1.0;
     int stalled = 0;
     while (sim->fs->SpaceUtilization() < config_.fill_lower) {
-      RunSim(sim.get(), sim->queue.now() + chunk);
+      sim->queue.RunUntil(sim->queue.now() + chunk);
       const double util = sim->fs->SpaceUtilization();
       if (util - best_util < 5e-4) {
         // A policy whose external fragmentation keeps it from ever
@@ -439,24 +376,14 @@ StatusOr<std::unique_ptr<Experiment::Sim>> Experiment::Setup(
   return sim;
 }
 
-uint64_t Experiment::RunSim(Sim* sim, sim::TimeMs until) {
-  return sim->engine != nullptr ? sim->engine->RunUntil(until)
-                                : sim->queue.RunUntil(until);
-}
-
 void Experiment::FillCapacity(Sim* sim, uint64_t* users_peak,
-                              uint64_t* events_peak,
-                              uint64_t* wheel_peak) const {
+                              uint64_t* events_peak) const {
   uint64_t users = 0;
   for (const workload::FileTypeSpec& t : workload_.types) {
     users += t.num_users;
   }
   *users_peak = users;
-  *events_peak = sim->engine != nullptr
-                     ? sim->engine->total_max_heap_depth()
-                     : sim->queue.max_heap_depth();
-  const sim::TimerWheel* wheel = sim->gen->wheel();
-  *wheel_peak = wheel != nullptr ? wheel->peak_size() : 0;
+  *events_peak = sim->queue.max_heap_depth();
 }
 
 PerfResult Experiment::Measure(Sim* sim, workload::OpMode mode) {
@@ -488,7 +415,7 @@ PerfResult Experiment::Measure(Sim* sim, workload::OpMode mode) {
   };
 
   // Warm up the disk queues in the measured mode, then measure.
-  RunSim(sim, sim->queue.now() + config_.warmup_ms);
+  sim->queue.RunUntil(sim->queue.now() + config_.warmup_ms);
   const uint64_t disk_full_before = sim->gen->disk_full_count();
   const uint64_t offered_before = sim->gen->open_offered();
   const uint64_t completed_before = sim->gen->open_completed();
@@ -514,7 +441,7 @@ PerfResult Experiment::Measure(Sim* sim, workload::OpMode mode) {
   double util = 0.0;
   while (true) {
     const sim::TimeMs t = tracker->NextSampleTime();
-    RunSim(sim, t);
+    sim->queue.RunUntil(t);
     util = tracker->Sample(t);
     const double elapsed = t - start;
     if (elapsed >= min_measure && tracker->Stabilized()) break;
@@ -559,8 +486,7 @@ PerfResult Experiment::Measure(Sim* sim, workload::OpMode mode) {
     result.pending_peak = sim->gen->open_pending_peak();
   }
   result.alloc_stats = sim->allocator->stats();
-  FillCapacity(sim, &result.users_peak, &result.events_peak,
-               &result.wheel_peak);
+  FillCapacity(sim, &result.users_peak, &result.events_peak);
   SnapshotObs(sim, &result.obs_metrics);
   if (stats_sink_ != nullptr && mode == workload::OpMode::kApplication) {
     *stats_sink_ = sim->gen->StatsReport();
@@ -576,25 +502,10 @@ void Experiment::SnapshotObs(
   // End-of-run gauges folded from the components' own counters. Every
   // value derives from simulation state, never wall clock, so snapshots
   // are identical however many runner jobs executed the sweep.
-  if (sim->engine != nullptr) {
-    reg.AddGauge("sim.events_dispatched")
-        ->Set(static_cast<double>(sim->engine->total_dispatched()));
-    reg.AddGauge("sim.max_heap_depth")
-        ->Set(static_cast<double>(sim->engine->total_max_heap_depth()));
-    reg.AddGauge("sim.engine.windows")
-        ->Set(static_cast<double>(sim->engine->windows()));
-    reg.AddGauge("sim.engine.effects")
-        ->Set(static_cast<double>(sim->engine->effects_committed()));
-  } else {
-    reg.AddGauge("sim.events_dispatched")
-        ->Set(static_cast<double>(sim->queue.dispatched()));
-    reg.AddGauge("sim.max_heap_depth")
-        ->Set(static_cast<double>(sim->queue.max_heap_depth()));
-  }
-  if (const sim::TimerWheel* wheel = sim->gen->wheel()) {
-    reg.AddGauge("sim.wheel.peak")
-        ->Set(static_cast<double>(wheel->peak_size()));
-  }
+  reg.AddGauge("sim.events_dispatched")
+      ->Set(static_cast<double>(sim->queue.dispatched()));
+  reg.AddGauge("sim.max_heap_depth")
+      ->Set(static_cast<double>(sim->queue.max_heap_depth()));
   double seek_ms = 0, rotation_ms = 0, transfer_ms = 0, busy_ms = 0;
   uint64_t seeks = 0, accesses = 0, bytes = 0;
   for (uint32_t i = 0; i < sim->disk->num_disks(); ++i) {
@@ -666,14 +577,11 @@ void Experiment::SnapshotObs(
         ->Set(static_cast<double>(sim->obs->DroppedSpans()));
   }
   out->clear();
-  // Merges the per-shard lanes (sharded runs) with the main registry;
-  // identical to reg.Snapshot(out) when there are none.
-  sim->obs->Snapshot(out);
+  reg.Snapshot(out);
 }
 
 void Experiment::FinishObs(Sim* sim) {
   if (sim->obs == nullptr || sim->obs->buffer() == nullptr) return;
-  sim->obs->FoldLaneTraces();
   obs::TraceCollector::Global().AddRun(sim->obs->TakeBuffer());
 }
 
@@ -693,8 +601,8 @@ StatusOr<AllocationResult> Experiment::RunAllocationTest() {
     while (!sim->gen->hit_disk_full() &&
            sim->fs->SpaceUtilization() < config_.alloc_full_utilization &&
            sim->gen->ops_executed() < config_.max_alloc_test_ops) {
-      RunSim(sim.get(),
-             sim->queue.now() + 10 * config_.sample_interval_ms);
+      sim->queue.RunUntil(sim->queue.now() +
+                          10 * config_.sample_interval_ms);
       if (sim->queue.stopped()) break;
     }
   }
@@ -706,8 +614,7 @@ StatusOr<AllocationResult> Experiment::RunAllocationTest() {
   result.ops_executed = sim->gen->ops_executed();
   result.simulated_ms = sim->queue.now();
   result.alloc_stats = sim->allocator->stats();
-  FillCapacity(sim.get(), &result.users_peak, &result.events_peak,
-               &result.wheel_peak);
+  FillCapacity(sim.get(), &result.users_peak, &result.events_peak);
   SnapshotObs(sim.get(), &result.obs_metrics);
   FinishObs(sim.get());
   return result;

@@ -14,7 +14,6 @@
 #include "fs/read_optimized_fs.h"
 #include "obs/tracer.h"
 #include "sim/event_queue.h"
-#include "sim/sharded_engine.h"
 #include "util/statusor.h"
 #include "workload/file_type.h"
 #include "workload/op_generator.h"
@@ -24,22 +23,6 @@ namespace rofs::exp {
 /// Live state of one measurement's windowed time-series capture (defined
 /// in experiment.cc; present in a Sim only when obs.window_ms > 0).
 struct WindowRecorder;
-
-/// Intra-run parallel engine and per-user state compaction (DESIGN.md
-/// §11). Defaults reproduce every earlier release byte for byte.
-struct SimEngineOptions {
-  /// 0 runs the classic single event queue. >= 1 shards disk-internal
-  /// events per drive behind a conservative time-window engine; the
-  /// value is the worker-thread budget (1 = sharded but inline). Output
-  /// is byte-identical across all values >= 1; the effective worker
-  /// count is further capped at hardware_concurrency / runner jobs.
-  int threads = 0;
-  /// Keep idle users in a hierarchical timer wheel instead of the event
-  /// heap: the memory-lean path for 10^5-10^6 user configurations.
-  bool timer_wheel = false;
-  /// Wheel tick granularity (buckets storage only, never firing times).
-  double wheel_tick_ms = 1.0;
-};
 
 /// Harness parameters (paper sections 2.2 and 3).
 struct ExperimentConfig {
@@ -84,10 +67,6 @@ struct ExperimentConfig {
   /// a null-pointer check.
   obs::Options obs;
 
-  /// Intra-run parallelism and user-state compaction. Defaults to the
-  /// classic serial engine and per-user heap events.
-  SimEngineOptions engine;
-
   /// Rejects nonsense configurations instead of silently running them:
   /// the fill band must satisfy 0 < lower <= upper <= 1, every interval
   /// and cap must be positive and ordered (min <= max measurement
@@ -113,13 +92,10 @@ struct AllocationResult {
   double simulated_ms = 0;
   /// Allocation-policy counters accumulated over the whole test.
   alloc::AllocatorStats alloc_stats;
-  /// Deterministic capacity metrics (identical for any thread count or
-  /// wall-clock conditions): simulated users, the peak live event
-  /// population across every event queue, and the timer wheel's peak
-  /// entry count (0 in heap mode).
+  /// Deterministic capacity metrics (independent of wall-clock
+  /// conditions): simulated users and the peak live event population.
   uint64_t users_peak = 0;
   uint64_t events_peak = 0;
-  uint64_t wheel_peak = 0;
   /// Metric-registry snapshot ("disk.queue_wait_ms.p50", ...) when the
   /// run had --metrics on; empty otherwise. Name-sorted.
   std::vector<std::pair<std::string, double>> obs_metrics;
@@ -160,7 +136,6 @@ struct PerfResult {
   /// Deterministic capacity metrics; see AllocationResult.
   uint64_t users_peak = 0;
   uint64_t events_peak = 0;
-  uint64_t wheel_peak = 0;
   /// Metric-registry snapshot when the run had --metrics on; empty
   /// otherwise. Name-sorted.
   std::vector<std::pair<std::string, double>> obs_metrics;
@@ -225,10 +200,6 @@ class Experiment {
     ~Sim();  // Out of line: WindowRecorder is complete in experiment.cc.
 
     sim::EventQueue queue;
-    /// Present only when config.engine.threads >= 1. Declared right
-    /// after the queue (its central domain) so everything that binds
-    /// shard queues — disk, obs lanes — is destroyed first.
-    std::unique_ptr<sim::ShardedEngine> engine;
     std::unique_ptr<obs::Session> obs;
     std::unique_ptr<alloc::Allocator> allocator;
     std::unique_ptr<disk::DiskSystem> disk;
@@ -244,13 +215,9 @@ class Experiment {
   /// fills the disk into the measurement band when `fill` is set.
   StatusOr<std::unique_ptr<Sim>> Setup(workload::OpMode mode, bool fill);
 
-  /// Advances the simulation to `until` through whichever engine the run
-  /// uses; returns events dispatched.
-  static uint64_t RunSim(Sim* sim, sim::TimeMs until);
-
   /// Fills the capacity metrics shared by both result kinds.
-  void FillCapacity(Sim* sim, uint64_t* users_peak, uint64_t* events_peak,
-                    uint64_t* wheel_peak) const;
+  void FillCapacity(Sim* sim, uint64_t* users_peak,
+                    uint64_t* events_peak) const;
 
   /// Runs the measurement loop of a performance test in the given mode.
   PerfResult Measure(Sim* sim, workload::OpMode mode);

@@ -11,9 +11,7 @@ class Registry;
 
 /// The service phases of one disk access, as the disk model computed
 /// them: time queued behind other requests, then the three mechanical
-/// phases. Trivially copyable; sized so it still fits (with a DiskSystem
-/// pointer and a group handle) inside an event queue callback's inline
-/// buffer — see DiskSystem's sharded completion path.
+/// phases. Trivially copyable.
 struct AccessPhases {
   double queue_wait_ms = 0.0;
   double seek_ms = 0.0;
@@ -37,11 +35,10 @@ struct AccessPhases {
 /// and write-back flush service are recorded into separate histograms and
 /// are not part of the partition.
 ///
-/// Threading: every method runs on the run's central thread (issue stacks
-/// and effect-commit/completion events); the disk shards never touch a
-/// ledger. Allocation: the pool grows to the peak number of concurrently
-/// in-flight ops and is reused through a free list afterwards, so steady
-/// state records without allocating.
+/// Threading: every method runs on the run's event-loop thread (issue
+/// stacks and completion events). Allocation: the pool grows to the peak
+/// number of concurrently in-flight ops and is reused through a free list
+/// afterwards, so steady state records without allocating.
 class OpAttribution {
  public:
   static constexpr uint32_t kNoLedger = 0xffffffffu;

@@ -37,23 +37,6 @@ void Histogram::Record(double value) {
   ++buckets_[static_cast<size_t>(BucketFor(value))];
 }
 
-void Histogram::Merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    buckets_[static_cast<size_t>(i)] +=
-        other.buckets_[static_cast<size_t>(i)];
-  }
-}
-
 double Histogram::Percentile(double p) const {
   if (count_ == 0) return 0.0;
   const double rank = p / 100.0 * static_cast<double>(count_);
@@ -121,22 +104,6 @@ Histogram* Registry::AddHistogram(const std::string& name) {
   Histogram* ptr = entry.histogram.get();
   entries_.emplace(name, std::move(entry));
   return ptr;
-}
-
-void Registry::MergeFrom(const Registry& other) {
-  for (const auto& [name, entry] : other.entries_) {
-    switch (entry.kind) {
-      case Kind::kCounter:
-        AddCounter(name)->Inc(entry.counter->value());
-        break;
-      case Kind::kGauge:
-        AddGauge(name)->Add(entry.gauge->value());
-        break;
-      case Kind::kHistogram:
-        AddHistogram(name)->Merge(*entry.histogram);
-        break;
-    }
-  }
 }
 
 void Registry::Snapshot(

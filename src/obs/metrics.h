@@ -49,13 +49,6 @@ class Histogram {
 
   void Record(double value);
 
-  /// Folds another histogram in: the result is exactly what recording
-  /// both multisets into one histogram would produce (bucket counts,
-  /// count, sum, min, max all combine losslessly), so per-shard lane
-  /// histograms merge into numbers independent of how records were
-  /// split across lanes.
-  void Merge(const Histogram& other);
-
   uint64_t count() const { return count_; }
   double sum() const { return sum_; }
   double min() const { return count_ == 0 ? 0.0 : min_; }
@@ -102,11 +95,6 @@ class Registry {
   Histogram* AddHistogram(const std::string& name);
 
   size_t size() const { return entries_.size(); }
-
-  /// Folds another registry's metrics into this one by name: counters
-  /// add, gauges add, histograms Merge(). Entries missing here are
-  /// created. Same-name-different-kind dies, like re-registration.
-  void MergeFrom(const Registry& other);
 
   /// Appends the registry contents to `out` sorted by metric name.
   /// Counters and gauges emit one entry under their own name; a histogram

@@ -17,58 +17,18 @@ Session::Session(const Options& options, const double* sim_now)
       tracer_(buffer_.get(), sim_now, &registry_),
       attribution_(&registry_) {}
 
-SimTracer* Session::AddLane(const double* now) {
-  Lane lane;
-  lane.registry = std::make_unique<Registry>();
-  if (options_.trace) {
-    lane.buffer = std::make_unique<TraceBuffer>(options_.trace_events);
-  }
-  lane.tracer = std::make_unique<SimTracer>(lane.buffer.get(), now,
-                                            lane.registry.get());
-  lanes_.push_back(std::move(lane));
-  return lanes_.back().tracer.get();
-}
-
 void Session::ArmAll() {
   tracer_.Arm();
   attribution_.set_armed(true);
-  for (Lane& lane : lanes_) lane.tracer->Arm();
 }
 
 void Session::DisarmAll() {
   tracer_.Disarm();
   attribution_.set_armed(false);
-  for (Lane& lane : lanes_) lane.tracer->Disarm();
-}
-
-void Session::Snapshot(
-    std::vector<std::pair<std::string, double>>* out) const {
-  if (lanes_.empty()) {
-    registry_.Snapshot(out);
-    return;
-  }
-  Registry merged;
-  merged.MergeFrom(registry_);
-  for (const Lane& lane : lanes_) merged.MergeFrom(*lane.registry);
-  merged.Snapshot(out);
 }
 
 uint64_t Session::DroppedSpans() const {
-  uint64_t dropped = buffer_ != nullptr ? buffer_->dropped() : 0;
-  for (const Lane& lane : lanes_) {
-    if (lane.buffer != nullptr) dropped += lane.buffer->dropped();
-  }
-  return dropped;
-}
-
-void Session::FoldLaneTraces() {
-  if (buffer_ == nullptr) return;
-  for (Lane& lane : lanes_) {
-    if (lane.buffer == nullptr) continue;
-    // Append lane-major; the main buffer's cap still bounds the total
-    // (overflow is counted as dropped, like any recording).
-    for (const TraceEvent& e : lane.buffer->events()) buffer_->Add(e);
-  }
+  return buffer_ != nullptr ? buffer_->dropped() : 0;
 }
 
 }  // namespace rofs::obs

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "obs/latency.h"
 #include "obs/metrics.h"
@@ -229,56 +228,29 @@ class Session {
 
   const Options& options() const { return options_; }
   SimTracer* tracer() { return &tracer_; }
-  /// Per-op latency attribution, registered against the main registry;
-  /// armed and disarmed with the tracers.
+  /// Per-op latency attribution, registered against the registry; armed
+  /// and disarmed with the tracer.
   OpAttribution* attribution() { return &attribution_; }
   Registry& registry() { return registry_; }
   const Registry& registry() const { return registry_; }
   /// Null unless tracing.
   TraceBuffer* buffer() { return buffer_.get(); }
   /// Moves the trace buffer out (for registration with the collector).
-  /// FoldLaneTraces() first, or lane events are lost.
   std::unique_ptr<TraceBuffer> TakeBuffer() { return std::move(buffer_); }
 
-  /// Adds an isolated recording lane — its own registry (and trace
-  /// buffer, when tracing) behind a tracer reading `now`. A sharded run
-  /// gives each shard one lane so its drives record without touching
-  /// another thread's state; `now` is that shard's queue clock. Lanes
-  /// must be added before traffic and live for the whole run.
-  SimTracer* AddLane(const double* now);
-
-  /// Arms / disarms the main tracer and every lane together.
+  /// Arms / disarms the tracer and the latency attribution together.
   void ArmAll();
   void DisarmAll();
 
-  /// Appends a name-sorted snapshot of the session's metrics — the main
-  /// registry merged with every lane's — without disturbing any of them,
-  /// so repeated snapshots (a performance pair measures twice) see the
-  /// same accumulation a single shared registry would.
-  void Snapshot(std::vector<std::pair<std::string, double>>* out) const;
-
-  /// Appends every lane's trace events to the main buffer, lane-major
-  /// (each lane's stream is itself deterministic). Call exactly once,
-  /// before TakeBuffer.
-  void FoldLaneTraces();
-
-  /// Trace events dropped by capacity so far, across the main buffer and
-  /// every lane. Zero when not tracing.
+  /// Trace events dropped by capacity so far. Zero when not tracing.
   uint64_t DroppedSpans() const;
 
  private:
-  struct Lane {
-    std::unique_ptr<Registry> registry;
-    std::unique_ptr<TraceBuffer> buffer;  // Null unless tracing.
-    std::unique_ptr<SimTracer> tracer;
-  };
-
   Options options_;
   Registry registry_;
   std::unique_ptr<TraceBuffer> buffer_;
   SimTracer tracer_;
   OpAttribution attribution_;
-  std::vector<Lane> lanes_;
 };
 
 }  // namespace rofs::obs

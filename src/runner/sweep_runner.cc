@@ -112,9 +112,6 @@ SweepRunner::SweepRunner(SweepOptions options)
     : options_(std::move(options)) {
   options_.jobs = ResolveJobs(options_.jobs);
   if (options_.max_attempts < 1) options_.max_attempts = 1;
-  // Publish the job count so per-run engines can cap their own worker
-  // gangs (the jobs x sim-threads oversubscription guard).
-  SetActiveJobs(options_.jobs);
 }
 
 std::vector<RunResult> SweepRunner::Run(const std::vector<RunSpec>& specs) {

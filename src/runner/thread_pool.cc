@@ -1,19 +1,8 @@
 #include "runner/thread_pool.h"
 
-#include <atomic>
 #include <cassert>
 
 namespace rofs::runner {
-
-namespace {
-std::atomic<int> g_active_jobs{1};
-}
-
-void SetActiveJobs(int jobs) {
-  g_active_jobs.store(jobs < 1 ? 1 : jobs, std::memory_order_relaxed);
-}
-
-int ActiveJobs() { return g_active_jobs.load(std::memory_order_relaxed); }
 
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads < 1) num_threads = 1;

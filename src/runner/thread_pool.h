@@ -10,15 +10,6 @@
 
 namespace rofs::runner {
 
-/// Process-wide count of concurrent sweep-runner jobs, published by
-/// SweepRunner when it resolves its pool size and read by the sharded
-/// simulation engine to cap per-run worker threads at
-/// hardware_concurrency / jobs (the oversubscription guard: `--jobs 8`
-/// times `[sim] threads = 8` must not gang 64 runnable threads onto 8
-/// cores). 1 until any sweep starts.
-void SetActiveJobs(int jobs);
-int ActiveJobs();
-
 /// A fixed-size pool of worker threads draining a FIFO work queue.
 ///
 /// Tasks are opaque `void()` callables; anything a task can throw must be

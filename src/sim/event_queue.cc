@@ -111,37 +111,10 @@ bool EventQueue::RunNext() {
   return true;
 }
 
-TimeMs EventQueue::next_time() const {
-  return heap_.empty() ? std::numeric_limits<TimeMs>::infinity()
-                       : EntryTime(heap_.front());
-}
-
 uint64_t EventQueue::RunUntil(TimeMs until) {
   uint64_t n = 0;
   stopped_ = false;
   while (!heap_.empty() && !stopped_ && EntryTime(heap_.front()) <= until) {
-    RunNext();
-    ++n;
-  }
-  return n;
-}
-
-uint64_t EventQueue::RunUntilBound(const TimeMs* bound) {
-  uint64_t n = 0;
-  stopped_ = false;
-  while (!heap_.empty() && !stopped_ && EntryTime(heap_.front()) <= *bound) {
-    RunNext();
-    ++n;
-  }
-  return n;
-}
-
-uint64_t EventQueue::RunBelow(TimeMs strict_bound, TimeMs incl_bound) {
-  uint64_t n = 0;
-  stopped_ = false;
-  while (!heap_.empty() && !stopped_) {
-    const TimeMs t = EntryTime(heap_.front());
-    if (!(t < strict_bound && t <= incl_bound)) break;
     RunNext();
     ++n;
   }

@@ -82,9 +82,6 @@ class EventQueue {
     heap_.push_back(MakeEntry(when, next_seq_++, slot));
     if (heap_.size() > max_heap_depth_) max_heap_depth_ = heap_.size();
     SiftUp(heap_.size() - 1);
-    if (schedule_observer_ != nullptr) {
-      schedule_observer_(schedule_observer_ctx_, when);
-    }
   }
 
   /// Schedules `f` at now() + delay.
@@ -93,39 +90,12 @@ class EventQueue {
     Schedule(now_ + delay, std::forward<F>(f));
   }
 
-  /// Scheduled time of the earliest pending event, or +infinity when the
-  /// queue is empty. Used by the sharded engine to compute safe horizons.
-  TimeMs next_time() const;
-
   /// Pops and dispatches the earliest event. Returns false when empty.
   bool RunNext();
 
   /// Dispatches events until the queue empties, `until` is reached, or
   /// Stop() is called. Returns the number of events dispatched.
   uint64_t RunUntil(TimeMs until);
-
-  /// Shard-phase run: dispatches events with time strictly below
-  /// `strict_bound` AND at-or-below `incl_bound`. The sharded engine uses
-  /// the strict bound for the central domain's next event time (central
-  /// wins ties, keeping one total order) and the inclusive bound for the
-  /// caller's overall `until`. Returns the number of events dispatched.
-  uint64_t RunBelow(TimeMs strict_bound, TimeMs incl_bound);
-
-  /// Like RunUntil, but re-reads the (inclusive) bound through `bound`
-  /// before every dispatch. The sharded engine lowers the bound mid-run
-  /// when a dispatched event schedules earlier work onto a shard queue,
-  /// so the central domain never overtakes a pending shard event.
-  uint64_t RunUntilBound(const TimeMs* bound);
-
-  /// Observer invoked on every Schedule() with the (clamped) event time.
-  /// The sharded engine installs it on shard queues to shrink the central
-  /// domain's safe horizon when new shard work appears mid-phase; queues
-  /// without an observer pay one predictable branch.
-  using ScheduleObserver = void (*)(void* ctx, TimeMs when);
-  void set_schedule_observer(ScheduleObserver fn, void* ctx) {
-    schedule_observer_ = fn;
-    schedule_observer_ctx_ = ctx;
-  }
 
   /// Runs to queue exhaustion (or Stop()).
   uint64_t Run();
@@ -228,8 +198,6 @@ class EventQueue {
   size_t max_heap_depth_ = 0;
   bool stopped_ = false;
   obs::SimTracer* tracer_ = nullptr;
-  ScheduleObserver schedule_observer_ = nullptr;
-  void* schedule_observer_ctx_ = nullptr;
 };
 
 /// Process-wide total of events dispatched by EventQueue instances that

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "util/table.h"
 #include "util/units.h"
@@ -13,14 +12,10 @@ OpGenerator::OpGenerator(const WorkloadSpec* workload,
                          fs::ReadOptimizedFs* fs, sim::EventQueue* queue,
                          OpGeneratorOptions options)
     : workload_(workload), fs_(fs), queue_(queue), options_(options),
-      rng_(options.seed),
-      pump_time_(std::numeric_limits<sim::TimeMs>::infinity()) {
+      rng_(options.seed) {
   assert(workload_ != nullptr && fs_ != nullptr && queue_ != nullptr);
   files_by_type_.resize(workload_->types.size());
   op_stats_.resize(workload_->types.size());
-  if (options_.timer_wheel) {
-    wheel_ = std::make_unique<sim::TimerWheel>(options_.wheel_tick_ms);
-  }
   if (workload_->zipf_theta > 0.0) {
     zipf_.reserve(workload_->types.size());
     for (const FileTypeSpec& t : workload_->types) {
@@ -95,61 +90,23 @@ Status OpGenerator::CreateInitialFiles() {
 }
 
 void OpGenerator::ScheduleUserStreams() {
-  if (wheel_ != nullptr) {
-    users_.Build(*workload_);
-    wheel_->Reserve(users_.num_users());
-    due_.reserve(64);
-  }
-  // Both modes draw the start times in the identical (type, user) order.
   for (size_t t = 0; t < workload_->types.size(); ++t) {
     const FileTypeSpec& type = workload_->types[t];
     const double spread =
         static_cast<double>(type.num_users) * type.hit_frequency_ms;
     for (uint32_t u = 0; u < type.num_users; ++u) {
       const sim::TimeMs start = queue_->now() + rng_.Uniform(0.0, spread);
-      if (wheel_ != nullptr) {
-        wheel_->Schedule(start, users_.first_uid(t) + u);
-      } else {
-        queue_->Schedule(start, [this, t] { RunUserEvent(t, kNoUser); });
-      }
+      queue_->Schedule(start, [this, t] {
+        RunUserEvent(t, /*is_arrival=*/false);
+      });
     }
   }
-  if (wheel_ != nullptr) ArmPump();
 }
 
-void OpGenerator::ArmPump() {
-  const sim::TimeMs deadline = wheel_->next_deadline();
-  if (deadline < pump_time_) {
-    pump_time_ = deadline;
-    queue_->Schedule(deadline, [this] { PumpWheel(); });
-  }
-}
-
-void OpGenerator::PumpWheel() {
-  // This pump was the earliest outstanding one. Later (superseded) pumps
-  // may still be in flight; forgetting them only means ArmPump may arm a
-  // duplicate, which pops nothing — never a missed deadline.
-  pump_time_ = std::numeric_limits<sim::TimeMs>::infinity();
-  due_.clear();
-  wheel_->PopDue(queue_->now(), &due_);
-  for (const sim::TimerEntry& e : due_) {
-    const uint32_t uid = static_cast<uint32_t>(e.payload);
-    users_.RecordOp(uid);
-    RunUserEvent(users_.type_of(uid), uid);
-  }
-  if (!wheel_->empty()) ArmPump();
-}
-
-void OpGenerator::ScheduleNext(size_t type_index, uint32_t uid,
-                               sim::TimeMs next) {
-  if (wheel_ != nullptr) {
-    wheel_->Schedule(next, uid);
-    ArmPump();
-  } else {
-    queue_->Schedule(next, [this, type_index] {
-      RunUserEvent(type_index, kNoUser);
-    });
-  }
+void OpGenerator::ScheduleNext(size_t type_index, sim::TimeMs next) {
+  queue_->Schedule(next, [this, type_index] {
+    RunUserEvent(type_index, /*is_arrival=*/false);
+  });
 }
 
 OpKind OpGenerator::DrawOpForMode(const FileTypeSpec& type) {
@@ -173,10 +130,10 @@ OpKind OpGenerator::DrawOpForMode(const FileTypeSpec& type) {
   return OpKind::kRead;
 }
 
-void OpGenerator::RunUserEvent(size_t type_index, uint32_t uid) {
+void OpGenerator::RunUserEvent(size_t type_index, bool is_arrival) {
   // Once open-loop injection starts, think-time events still in flight
   // from the closed streams fire here and die without executing.
-  if (arrivals_ != nullptr && uid != kOpenLoop) return;
+  if (arrivals_ != nullptr && !is_arrival) return;
   const FileTypeSpec& type = workload_->types[type_index];
   const auto& ids = files_by_type_[type_index];
   const fs::FileId id = zipf_.empty()
@@ -186,7 +143,7 @@ void OpGenerator::RunUserEvent(size_t type_index, uint32_t uid) {
   const OpKind op = DrawOpForMode(type);
 
   if (options_.async) {
-    RunUserEventAsync(type_index, uid, id, op, now);
+    RunUserEventAsync(type_index, is_arrival, id, op, now);
     return;
   }
 
@@ -221,7 +178,7 @@ void OpGenerator::RunUserEvent(size_t type_index, uint32_t uid) {
     }
   }
 
-  if (uid == kOpenLoop) {
+  if (is_arrival) {
     // No rescheduling: the arrival chain drives injection. Completion is
     // accounted when the op's simulated completion time is reached.
     if (done > now) {
@@ -237,7 +194,7 @@ void OpGenerator::RunUserEvent(size_t type_index, uint32_t uid) {
   // scheduled at that newly calculated time."
   const sim::TimeMs next = done + rng_.Exponential(type.process_time_ms);
   if (attr_ != nullptr) attr_->RecordThink(next - done);
-  ScheduleNext(type_index, uid, next);
+  ScheduleNext(type_index, next);
 }
 
 void OpGenerator::StartOpenLoop(const ArrivalSpec& spec) {
@@ -270,7 +227,7 @@ void OpGenerator::RunArrival() {
     const uint64_t u = rng_.UniformInt(0, total_users_ - 1);
     while (type_user_cum_[t] <= u) ++t;
   }
-  RunUserEvent(t, kOpenLoop);
+  RunUserEvent(t, /*is_arrival=*/true);
   ScheduleNextArrival();
 }
 
@@ -279,7 +236,7 @@ void OpGenerator::OnOpenOpComplete() {
   --open_pending_;
 }
 
-void OpGenerator::RunUserEventAsync(size_t type_index, uint32_t uid,
+void OpGenerator::RunUserEventAsync(size_t type_index, bool is_arrival,
                                     fs::FileId id, OpKind op,
                                     sim::TimeMs now) {
   const FileTypeSpec& type = workload_->types[type_index];
@@ -349,20 +306,21 @@ void OpGenerator::RunUserEventAsync(size_t type_index, uint32_t uid,
   // path's order) and applied from the eventual completion time. Open-loop
   // arrivals have no think time — the sync path skips the draw too.
   const double think_ms =
-      uid == kOpenLoop ? 0.0 : rng_.Exponential(type.process_time_ms);
+      is_arrival ? 0.0 : rng_.Exponential(type.process_time_ms);
 
   if (!has_io) {
-    OnAsyncOpDone(type_index, uid, op, id, now, bytes_moved, think_ms, now);
+    OnAsyncOpDone(type_index, is_arrival, op, id, now, bytes_moved, think_ms,
+                  now);
     return;
   }
   // The op kind (3 bits) shares a word with the type index so the capture
   // fits the DoneFn inline buffer exactly (48 bytes, no allocation).
   const uint32_t op_t = (static_cast<uint32_t>(type_index) << 3) |
                         static_cast<uint32_t>(op);
-  auto finish = [this, op_t, uid, id, now, bytes_moved,
+  auto finish = [this, op_t, is_arrival, id, now, bytes_moved,
                  think_ms](sim::TimeMs done) {
-    OnAsyncOpDone(op_t >> 3, uid, static_cast<OpKind>(op_t & 7u), id, now,
-                  bytes_moved, think_ms, done);
+    OnAsyncOpDone(op_t >> 3, is_arrival, static_cast<OpKind>(op_t & 7u), id,
+                  now, bytes_moved, think_ms, done);
   };
   if (is_write) {
     fs_->WriteAsync(id, offset, size, now, std::move(finish));
@@ -386,14 +344,14 @@ bool OpGenerator::PrepareExtendAsync(fs::FileId id, uint64_t bytes,
   return *size > 0;
 }
 
-void OpGenerator::OnAsyncOpDone(size_t type_index, uint32_t uid, OpKind op,
-                                fs::FileId id, sim::TimeMs issued,
+void OpGenerator::OnAsyncOpDone(size_t type_index, bool is_arrival,
+                                OpKind op, fs::FileId id, sim::TimeMs issued,
                                 uint64_t bytes_moved, double think_ms,
                                 sim::TimeMs done) {
   if (attr_ != nullptr) {
     const obs::OpAttribution::Target t = attr_->TakeActive();
     attr_->FoldOp(t.ledger, done - issued);
-    if (uid != kOpenLoop) attr_->RecordThink(think_ms);
+    if (!is_arrival) attr_->RecordThink(think_ms);
   }
   ++ops_executed_;
   op_latency_ms_.Add(done - issued);
@@ -408,12 +366,12 @@ void OpGenerator::OnAsyncOpDone(size_t type_index, uint32_t uid, OpKind op,
     // We are already at the completion instant; credit directly.
     on_bytes_moved(bytes_moved, done);
   }
-  if (uid == kOpenLoop) {
+  if (is_arrival) {
     OnOpenOpComplete();
     return;
   }
   const sim::TimeMs next = done + think_ms;
-  ScheduleNext(type_index, uid, next);
+  ScheduleNext(type_index, next);
 }
 
 sim::TimeMs OpGenerator::DoExtend(const FileTypeSpec& type, fs::FileId id,

@@ -11,11 +11,9 @@
 #include "fs/read_optimized_fs.h"
 #include "obs/latency.h"
 #include "sim/event_queue.h"
-#include "sim/timer_wheel.h"
 #include "util/histogram.h"
 #include "util/random.h"
 #include "workload/file_type.h"
-#include "workload/user_table.h"
 
 namespace rofs::workload {
 
@@ -65,15 +63,6 @@ struct OpGeneratorOptions {
   /// byte for byte. The async path draws from the RNG in exactly the
   /// sync path's order at issue time, so the operation streams match.
   bool async = false;
-  /// Keep idle users in a hierarchical timer wheel (one 32-byte pooled
-  /// node each) instead of the event heap (a 16-byte heap entry plus a
-  /// 48-byte callback slot each): the memory-lean path for 10^5-10^6
-  /// user configs. Think-time expiries fire at their exact deadlines in
-  /// (deadline, FIFO) order through a pump event, so the operation
-  /// stream matches heap mode (see DESIGN.md §11).
-  bool timer_wheel = false;
-  /// Wheel tick granularity; buckets storage only, never firing times.
-  double wheel_tick_ms = 1.0;
 };
 
 /// Drives a workload against a file system inside an event queue: creates
@@ -129,11 +118,6 @@ class OpGenerator {
     return files_by_type_[t];
   }
 
-  /// The think-time wheel (null in heap mode) and the per-user table
-  /// (empty in heap mode), for capacity metrics and tests.
-  const sim::TimerWheel* wheel() const { return wheel_.get(); }
-  const UserTable& users() const { return users_; }
-
   /// Switches the generator to open-loop injection: operations arrive at
   /// times drawn from `spec` regardless of earlier completions, so load
   /// past saturation queues up instead of self-throttling. The closed
@@ -165,38 +149,29 @@ class OpGenerator {
   std::function<void(const OpRecord&)> on_op;
 
  private:
-  /// Sentinel uid for heap mode, where users carry no identity.
-  static constexpr uint32_t kNoUser = 0xffffffffu;
-  /// Sentinel uid for open-loop arrivals: the event executes one op but
-  /// never reschedules a user stream.
-  static constexpr uint32_t kOpenLoop = 0xfffffffeu;
-
-  void RunUserEvent(size_t type_index, uint32_t uid);
+  /// Executes one op for a user of `type_index`. A closed-loop user's
+  /// event reschedules itself after the think time; an open-loop arrival
+  /// (`is_arrival`) executes one op and never reschedules.
+  void RunUserEvent(size_t type_index, bool is_arrival);
   /// Injects one open-loop arrival and schedules the next.
   void RunArrival();
   void ScheduleNextArrival();
   /// Completion-side accounting for an open-loop op.
   void OnOpenOpComplete();
 
-  /// Schedules the user's next event at `next`: a heap event in heap
-  /// mode, a wheel entry (plus pump re-arm) in wheel mode.
-  void ScheduleNext(size_t type_index, uint32_t uid, sim::TimeMs next);
-  /// Ensures a pump event is outstanding at or before the wheel's
-  /// earliest deadline.
-  void ArmPump();
-  /// Pump: fires every wheel entry due at now, in (deadline, FIFO) order.
-  void PumpWheel();
+  /// Schedules a closed-loop user's next event at `next`.
+  void ScheduleNext(size_t type_index, sim::TimeMs next);
 
   /// Async-mode tail of RunUserEvent: performs the op's issue-time draws
   /// and side effects in exactly ExecuteOp's order, then hands completion
   /// accounting to OnAsyncOpDone via the fs async API.
-  void RunUserEventAsync(size_t type_index, uint32_t uid, fs::FileId id,
-                         OpKind op, sim::TimeMs now);
+  void RunUserEventAsync(size_t type_index, bool is_arrival,
+                         fs::FileId id, OpKind op, sim::TimeMs now);
   /// Allocation half of an async extend; reports the range to write.
   /// Returns true when there are bytes to write.
   bool PrepareExtendAsync(fs::FileId id, uint64_t bytes, uint64_t* offset,
                           uint64_t* size, uint64_t* bytes_moved);
-  void OnAsyncOpDone(size_t type_index, uint32_t uid, OpKind op,
+  void OnAsyncOpDone(size_t type_index, bool is_arrival, OpKind op,
                      fs::FileId id, sim::TimeMs issued, uint64_t bytes_moved,
                      double think_ms, sim::TimeMs done);
 
@@ -237,12 +212,6 @@ class OpGenerator {
 
   // Zipf file picks (workload zipf_theta > 0) only; one picker per type.
   std::vector<ZipfPicker> zipf_;
-
-  // Wheel mode (options_.timer_wheel) only.
-  std::unique_ptr<sim::TimerWheel> wheel_;
-  UserTable users_;
-  sim::TimeMs pump_time_ = 0.0;  // Earliest outstanding pump; +inf if none.
-  std::vector<sim::TimerEntry> due_;  // PumpWheel scratch.
 };
 
 }  // namespace rofs::workload

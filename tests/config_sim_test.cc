@@ -263,9 +263,28 @@ TEST(SimConfigTest, CacheKnobsRequireTheCache) {
   }
 }
 
+TEST(SimConfigTest, RemovedSimSectionRejected) {
+  // The sharded engine and the timer wheel were removed; a config that
+  // still asks for them must fail instead of silently running the heap.
+  for (const char* key : {"threads = 1", "user_timer = wheel",
+                          "wheel_tick = 1ms"}) {
+    const std::string text =
+        std::string("[sim]\n") + key + "\n[workload]\nbuiltin = TS\n";
+    auto sim = Build(text);
+    ASSERT_FALSE(sim.ok()) << key;
+    EXPECT_TRUE(sim.status().IsInvalidArgument()) << key;
+    for (const char* removed : {"threads", "user_timer", "wheel_tick"}) {
+      EXPECT_NE(sim.status().message().find(removed), std::string::npos)
+          << key << ": " << sim.status().ToString();
+    }
+  }
+}
+
 TEST(SimConfigTest, ShippedConfigsLoad) {
-  for (const char* path : {"configs/paper_ts_rbuddy.ini",
-                           "configs/custom_smallfiles_lfs.ini"}) {
+  for (const char* path :
+       {"configs/paper_ts_rbuddy.ini", "configs/custom_smallfiles_lfs.ini",
+        "configs/tp_cscan.ini", "configs/aging_fixed4k.ini",
+        "configs/ts_openloop_poisson.ini"}) {
     auto sim = LoadSimConfig(std::string(ROFS_SOURCE_DIR) + "/" + path);
     EXPECT_TRUE(sim.ok()) << path << ": " << sim.status().ToString();
   }

@@ -154,6 +154,32 @@ TEST(ExperimentTest, FixedBlockBaselineSlowerSequentialThanRestrictedBuddy) {
             fixed_pair->sequential.utilization_of_max);
 }
 
+TEST(ExperimentTest, CapacityMetricsAreRecorded) {
+  Experiment experiment(TinyWorkload(), RestrictedBuddyFactory(), TinyDisk(),
+                        FastConfig());
+  auto perf = experiment.RunApplicationTest();
+  ASSERT_TRUE(perf.ok()) << perf.status().ToString();
+
+  // 6 + 4 users across the two file types. Every user starts as one
+  // pending heap event, so the heap peak is at least the user count.
+  EXPECT_EQ(perf->users_peak, 10u);
+  EXPECT_GE(perf->events_peak, 10u);
+
+  const RunRecord record = perf->ToRecord();
+  EXPECT_EQ(record.Get("sim.users.peak"), 10.0);
+  EXPECT_EQ(record.Get("sim.events.peak"),
+            static_cast<double>(perf->events_peak));
+  // The timer wheel is gone, and so is every metric that described it.
+  for (const auto& [name, value] : record.metrics) {
+    EXPECT_EQ(name.find("wheel"), std::string::npos) << name;
+  }
+
+  // FromRecord round-trips the capacity metrics.
+  const PerfResult back = PerfResult::FromRecord(record);
+  EXPECT_EQ(back.users_peak, perf->users_peak);
+  EXPECT_EQ(back.events_peak, perf->events_peak);
+}
+
 TEST(ExperimentConfigTest, DefaultConfigValidates) {
   EXPECT_TRUE(ExperimentConfig{}.Validate().ok());
 }

@@ -95,8 +95,7 @@ exp::ExperimentConfig WindowedConfig(double window_ms) {
   return cfg;
 }
 
-exp::Experiment MakeTinyExperiment(const exp::ExperimentConfig& cfg,
-                                   int sim_threads) {
+exp::Experiment MakeTinyExperiment(const exp::ExperimentConfig& cfg) {
   disk::DiskSystemConfig disk = disk::DiskSystemConfig::Array(2);
   for (auto& g : disk.disks) g.cylinders = 200;
 
@@ -119,8 +118,6 @@ exp::Experiment MakeTinyExperiment(const exp::ExperimentConfig& cfg,
   t.delete_ratio = 0.5;
   w.types.push_back(t);
 
-  exp::ExperimentConfig threaded = cfg;
-  threaded.engine.threads = sim_threads;
   return exp::Experiment(
       w,
       [](uint64_t total_du) -> std::unique_ptr<alloc::Allocator> {
@@ -129,11 +126,11 @@ exp::Experiment MakeTinyExperiment(const exp::ExperimentConfig& cfg,
         return std::make_unique<alloc::RestrictedBuddyAllocator>(total_du,
                                                                  rb);
       },
-      disk, threaded);
+      disk, cfg);
 }
 
 TEST(WindowedMetricsTest, MeasurementProducesConsistentWindows) {
-  exp::Experiment e = MakeTinyExperiment(WindowedConfig(1'000), 0);
+  exp::Experiment e = MakeTinyExperiment(WindowedConfig(1'000));
   auto result = e.RunApplicationTest();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
@@ -165,24 +162,8 @@ TEST(WindowedMetricsTest, MeasurementProducesConsistentWindows) {
   EXPECT_TRUE(found);
 }
 
-TEST(WindowedMetricsTest, SeriesIdenticalAcrossSimThreads) {
-  exp::Experiment e1 = MakeTinyExperiment(WindowedConfig(1'000), 1);
-  exp::Experiment e8 = MakeTinyExperiment(WindowedConfig(1'000), 8);
-  auto r1 = e1.RunApplicationTest();
-  auto r8 = e8.RunApplicationTest();
-  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  ASSERT_TRUE(r8.ok()) << r8.status().ToString();
-
-  exp::RunRecord a = r1->ToRecord();
-  exp::RunRecord b = r8->ToRecord();
-  // Byte-identical serialized records, series included.
-  EXPECT_EQ(a.ToJson(), b.ToJson());
-  ASSERT_EQ(r1->series.rows(), r8->series.rows());
-  ASSERT_GT(r1->series.rows(), 0u);
-}
-
 TEST(WindowedMetricsTest, SeriesRidesIntoRecordJsonAndCsv) {
-  exp::Experiment e = MakeTinyExperiment(WindowedConfig(2'000), 0);
+  exp::Experiment e = MakeTinyExperiment(WindowedConfig(2'000));
   auto result = e.RunApplicationTest();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
@@ -201,7 +182,7 @@ TEST(WindowedMetricsTest, SeriesRidesIntoRecordJsonAndCsv) {
   // Without a window the record serializes with no series key at all.
   exp::ExperimentConfig cfg = WindowedConfig(0);
   cfg.obs.window_ms = 0;
-  exp::Experiment plain = MakeTinyExperiment(cfg, 0);
+  exp::Experiment plain = MakeTinyExperiment(cfg);
   auto plain_result = plain.RunApplicationTest();
   ASSERT_TRUE(plain_result.ok());
   EXPECT_EQ(plain_result->ToRecord().ToJson().find("\"series\""),

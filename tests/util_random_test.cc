@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -67,6 +68,12 @@ struct MomentParams {
   double mean;
   double stddev;
 };
+
+// Printed by gtest in test listings; without it gtest dumps the struct's
+// raw bytes, which hold a string pointer and so change from run to run.
+void PrintTo(const MomentParams& params, std::ostream* os) {
+  *os << params.name;
+}
 
 class NormalMomentsTest : public ::testing::TestWithParam<MomentParams> {};
 

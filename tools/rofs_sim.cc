@@ -12,11 +12,6 @@
 //                                          # operation trace as CSV
 //   rofs_sim --jobs N <config.ini>         # run independent tests on N
 //                                          # threads (also: ROFS_JOBS)
-//   rofs_sim --sim-threads N <config.ini>  # override the config's [sim]
-//                                          # threads: intra-run sharded
-//                                          # engine (0 = classic serial;
-//                                          # output byte-identical for
-//                                          # any N >= 1)
 //   rofs_sim --replicates N <config.ini>   # run every test N times on
 //                                          # independent seed streams and
 //                                          # report mean +- 95% CI (also:
@@ -85,7 +80,6 @@ struct Options {
   std::string trace_path;
   int jobs = 0;        // 0: ROFS_JOBS, else hardware threads.
   int replicates = 0;  // 0: ROFS_REPLICATES, else 1.
-  int sim_threads = -1;  // -1: keep the config's [sim] threads.
   std::string jsonl_path;
   std::string csv_path;
   /// Observability (see bench/common.h for the same knobs): obs.metrics
@@ -105,9 +99,6 @@ int Run(const Options& opts) {
   if (!sim.ok()) {
     std::fprintf(stderr, "rofs_sim: %s\n", sim.status().ToString().c_str());
     return 1;
-  }
-  if (opts.sim_threads >= 0) {
-    sim->experiment.engine.threads = opts.sim_threads;
   }
   // CLI observability knobs override the config file's [obs] section; a
   // window_ms only present in the config still takes effect.
@@ -262,8 +253,8 @@ int Run(const Options& opts) {
           std::to_string(ctx.index % static_cast<size_t>(replicates)));
       // The aging study runs against a passive (queue-free) file system:
       // churn with I/O disabled, probes at a monotonic clock. No event
-      // queue, so its output is byte-identical for any --jobs or
-      // --sim-threads setting by construction.
+      // queue, so its output is byte-identical for any --jobs setting
+      // by construction.
       disk::DiskSystem disk(cfg->disk);
       std::unique_ptr<alloc::Allocator> allocator =
           cfg->allocator_factory(disk.capacity_du());
@@ -471,10 +462,11 @@ int main(int argc, char** argv) {
       opts.jobs = std::atoi(argv[++i]);
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
       opts.jobs = std::atoi(argv[i] + 7);
-    } else if (std::strcmp(argv[i], "--sim-threads") == 0 && i + 1 < argc) {
-      opts.sim_threads = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--sim-threads=", 14) == 0) {
-      opts.sim_threads = std::atoi(argv[i] + 14);
+    } else if (std::strncmp(argv[i], "--sim-threads", 13) == 0) {
+      std::fprintf(stderr,
+                   "rofs_sim: --sim-threads was removed with the sharded "
+                   "engine; every run uses the single event heap\n");
+      return 2;
     } else if (std::strcmp(argv[i], "--replicates") == 0 && i + 1 < argc) {
       opts.replicates = std::atoi(argv[++i]);
     } else if (std::strncmp(argv[i], "--replicates=", 13) == 0) {
@@ -535,7 +527,7 @@ int main(int argc, char** argv) {
                  "usage: %s [--dump] [--stats] [--trace out.csv] "
                  "[--trace-jsonl out.jsonl] [--metrics] "
                  "[--trace-out out.json] [--trace-events N] "
-                 "[--window-ms N] [--jobs N] [--sim-threads N] "
+                 "[--window-ms N] [--jobs N] "
                  "[--replicates N] [--jsonl out.jsonl] [--csv out.csv] "
                  "<config.ini>\n",
                  argv[0]);
