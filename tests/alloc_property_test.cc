@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -27,10 +26,6 @@ struct PolicyParam {
   std::string name;
   std::function<std::unique_ptr<Allocator>(uint64_t)> make;
 };
-
-// Printed by gtest in test listings; without it gtest dumps the struct's
-// raw bytes, which hold a heap pointer and so change from run to run.
-void PrintTo(const PolicyParam& param, std::ostream* os) { *os << param.name; }
 
 std::vector<PolicyParam> AllPolicies() {
   std::vector<PolicyParam> out;

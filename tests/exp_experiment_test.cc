@@ -154,7 +154,9 @@ TEST(ExperimentTest, FixedBlockBaselineSlowerSequentialThanRestrictedBuddy) {
             fixed_pair->sequential.utilization_of_max);
 }
 
-TEST(ExperimentTest, CapacityMetricsAreRecorded) {
+// Keeps the suite name it had beside the deleted engine comparisons, so
+// its test id is unchanged.
+TEST(IntraRunDeterminismTest, CapacityMetricsAreRecorded) {
   Experiment experiment(TinyWorkload(), RestrictedBuddyFactory(), TinyDisk(),
                         FastConfig());
   auto perf = experiment.RunApplicationTest();

@@ -7,11 +7,16 @@
 FLOOR and HEAD are test listings in any of three forms: one id per line,
 `ctest -N` output, or `rofs_tests --gtest_list_tests` output. Both are
 normalised the same way before comparing: runs of spaces are squeezed to
-one and each id is cut at 100 characters.
+one and each id is cut at 100 characters, with trailing spaces dropped.
 
 The first form prints a JSON list with one entry per FLOOR id that HEAD
 lacks: {"id", "reason", "renamed_to"}. A missing id is matched to a new
-HEAD id in two ways:
+HEAD id in three ways:
+  * unstable: the same id up to gtest's raw parameter bytes
+    (`# GetParam() = 64-byte object <40-5D ...>`). A parameter gtest
+    cannot print is listed as its bytes, which can hold a pointer, so
+    the id differs on every build of any tree. There is no stable new
+    name, so `renamed_to` is null;
   * renamed: the same test with a different `# GetParam() = ...` comment
     (a parameter printer changed how gtest shows the parameter);
   * moved: the same test name (the part after the last '.') under a
@@ -32,10 +37,11 @@ import sys
 
 MAX_ID = 100
 CTEST_LINE = re.compile(r"^\s*Test\s+#\d+:\s*(.*)$")
+RAW_BYTES = re.compile(r"(-byte object <).*$")
 
 
 def normalise(test_id):
-    return re.sub(r" +", " ", test_id.strip())[:MAX_ID]
+    return re.sub(r" +", " ", test_id.strip())[:MAX_ID].rstrip()
 
 
 def read_ids(path):
@@ -66,10 +72,16 @@ def base(test_id):
     return test_id.split(" # ", 1)[0]
 
 
+def without_bytes(test_id):
+    """The id with gtest's raw parameter bytes dropped."""
+    return RAW_BYTES.sub(r"\1", test_id)
+
+
 def manifest(floor, head, reasons):
     head_set = set(head)
     floor_set = set(floor)
     added = [h for h in head if h not in floor_set]
+    with_bytes = {without_bytes(h) for h in added if RAW_BYTES.search(h)}
     by_base = {}
     by_name = {}
     for h in added:
@@ -82,7 +94,15 @@ def manifest(floor, head, reasons):
         same = by_base.get(base(test_id), [])
         name = base(test_id).rsplit(".", 1)[-1]
         moved = by_name.get(name, [])
-        if len(same) == 1:
+        if RAW_BYTES.search(test_id) and without_bytes(test_id) in with_bytes:
+            entries.append({
+                "id": test_id,
+                "reason": "unstable: the id holds gtest's raw parameter "
+                          "bytes, which carry a pointer, so a rebuild of "
+                          "the unchanged tree misses it too",
+                "renamed_to": None,
+            })
+        elif len(same) == 1:
             entries.append({
                 "id": test_id,
                 "reason": "renamed: gtest now prints the parameter by name; "
